@@ -86,6 +86,7 @@ PER_LAYER_UNITS = {
     "genpack.energy_kwh": "kWh",
     "proc.threads_started_per_op": "count",
     "proc.op_ms_p90": "ms",
+    "proc.first_setup_s": "s",
     "bench.trace_overhead_x": "x",
 }
 PER_LAYER_UNITS.update(
@@ -538,6 +539,9 @@ def per_layer(tracer, traced, plain, figures):
         "genpack.energy_kwh": figures.get("energy_kwh", 0.0),
         "proc.threads_started_per_op": _ratio(counts["proc.threads"], ops),
         "proc.op_ms_p90": plain.summary()["op_ms_p90"],
+        # The untraced half sets up first, so its first set-up is the
+        # process's and holds any set-up paid once per process.
+        "proc.first_setup_s": plain.setup_s[0],
         "bench.trace_overhead_x": (
             traced.summary()["op_ms_p50"] / plain.summary()["op_ms_p50"]
         ),

@@ -3,11 +3,12 @@
 Usage, from the root of the repository::
 
     python3 perfbench/steady.py --runs 10 [--workloads epc_match ...]
-        [--seconds N] [--first-seed 1] [--trace 0]
+        [--trace 0]
 
-Each run is one ``perfbench/run.py`` process with its own seed, run one
-after another so that runs do not compete for the processor.  For every
-metric the tool prints the median, the first and third quartiles
+Each run is one ``perfbench/run.py`` process of ``run_seconds`` from
+``BENCHMARK.json``, with seeds 1 to ``--runs``, run one after another so
+that runs do not compete for the processor.  For every metric the tool
+prints the median, the first and third quartiles
 (``statistics.quantiles(values, n=4)``) and their distance as a share of
 the median -- the spread a bound in ``BENCHMARK.json`` must exceed --
 and, for the end-to-end metrics, that share against the metric's bound.
@@ -53,17 +54,14 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--runs", type=int, default=10)
     parser.add_argument("--workloads", nargs="*", default=names)
-    parser.add_argument("--seconds", type=float,
-                        default=spec["run_seconds"])
-    parser.add_argument("--first-seed", type=int, default=1)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     args = parser.parse_args(argv)
     bounds = {m["name"]: m["bound"] for m in spec["end_to_end"]}
 
     for workload in args.workloads:
         results = [
-            one_run(workload, args.first_seed + i, args.seconds, args.trace)
-            for i in range(args.runs)
+            one_run(workload, seed, spec["run_seconds"], args.trace)
+            for seed in range(1, args.runs + 1)
         ]
         correct = all(r["correct"] for r in results)
         shares = {r["failed"] / r["attempted"] for r in results}

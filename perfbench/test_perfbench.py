@@ -56,7 +56,7 @@ def test_smoke_run(name, monkeypatch):
     assert timer.failed == 0 and timer.attempted > 1
     assert len(timer.setup_s) >= 1
     assert all(value > 0 for value in summary.values() if value)
-    assert summary["op_ms_p50"] > 0 and summary["ops_per_s"] > 0
+    assert summary["op_ms_p50"] > 0
     if name == "epc_match":
         assert figures["virtual_ms_p50"] > 0
     if name == "genpack_day":

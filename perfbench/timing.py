@@ -87,10 +87,8 @@ class Timer:
     def summary(self):
         """The end-to-end host metrics of this run."""
         ops = sorted(self.op_s)
-        total = sum(ops)
         return {
             "setup_s": statistics.median(self.setup_s),
-            "ops_per_s": len(ops) / total,
             "op_ms_p50": 1e3 * statistics.median(ops),
             "op_ms_p90": (
                 1e3 * statistics.quantiles(ops, n=10)[8]

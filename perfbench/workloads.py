@@ -398,11 +398,11 @@ class GenPackDay:
                 expect(previous.energy_kwh == outcome.energy_kwh,
                        "two replays of day %d used different energy",
                        day_seed)
-        first = self.day_seeds[0]
-        spread = self._simulation(
-            first, lambda cluster, _monitor: SpreadScheduler(cluster)
-        )
-        check_genpack_day(results[first], spread.run(), len(spread.trace))
+        for day_seed, outcome in results.items():
+            spread = self._simulation(
+                day_seed, lambda cluster, _monitor: SpreadScheduler(cluster)
+            )
+            check_genpack_day(outcome, spread.run(), len(spread.trace))
         days = list(results.values())
         return {
             "energy_kwh": statistics.mean(r.energy_kwh for r in days),
